@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 
 #include "common/logging.h"
@@ -286,10 +287,7 @@ void Replica::on_term_delivered(const TxnPtr& t) {
   if (known_outcome(t->id) != nullptr) return;  // late redelivery
   auto& st = state_of(t);
   if (st.in_q || st.voted || st.decided) return;
-  st.in_q = true;
-  q_.push_back(t->id);
-  obs_q_pushes_.fetch_add(1, std::memory_order_relaxed);
-  st.q_pos = cidx_.add(t);
+  enqueue(st, t);
   if (oslot_ != nullptr) {
     oslot_->record(obs::Counter::kTermDelivered);
     oslot_->record_value(obs::Hist::kQueueDepth, q_.size());
@@ -317,10 +315,47 @@ void Replica::on_term_delivered(const TxnPtr& t) {
   if (cl_.spec().ac != AcKind::kGroupComm) {
     // Algorithm 4 lines 1-7 (also Paxos Commit): vote immediately; a
     // non-commuting transaction already in Q triggers a preemptive abort.
-    cast_vote(t, queued_conflict(*t, st.q_pos, /*preceding_only=*/false));
+    cast_vote(t, queued_conflict(*t, st.q_pos));
   } else {
     gc_try_votes();
   }
+}
+
+bool Replica::incremental_convoy() const {
+  return cl_.spec().ac == AcKind::kGroupComm &&
+         cl_.spec().commute_footprint_local;
+}
+
+void Replica::enqueue(TermState& st, const TxnPtr& t) {
+  st.in_q = true;
+  q_.push_back(t->id);
+  obs_q_pushes_.fetch_add(1, std::memory_order_relaxed);
+  st.q_pos = cidx_.add(t);
+  if (!incremental_convoy()) return;
+  // Positions are monotone, so every transaction already in Q precedes t.
+  st.blockers = 0;
+  cidx_.scan(*t, [&](const ConflictIndex::Candidate& c) {
+    if (c.pos != st.q_pos && !cl_.spec().commute(*t, c.txn)) ++st.blockers;
+    return false;  // count them all
+  });
+  if (st.blockers == 0 && !st.voted) {
+    ready_.emplace_back(st.q_pos, t->id);
+    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
+  }
+}
+
+void Replica::unblock_successors(const TxnRecord& x, std::uint64_t pos) {
+  if (!incremental_convoy()) return;
+  cidx_.scan(x, [&](const ConflictIndex::Candidate& c) {
+    if (c.pos <= pos || cl_.spec().commute(c.txn, x)) return false;
+    TermState& st = term_.find(c.txn.id)->second;
+    assert(st.blockers > 0);
+    if (--st.blockers == 0 && !st.voted) {
+      ready_.emplace_back(c.pos, c.txn.id);
+      std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
+    }
+    return false;
+  });
 }
 
 bool Replica::queued_conflict_pairwise(const TxnRecord& t,
@@ -341,16 +376,13 @@ bool Replica::queued_conflict_pairwise(const TxnRecord& t,
   return false;
 }
 
-bool Replica::queued_conflict(const TxnRecord& t, std::uint64_t pos,
-                              bool preceding_only) const {
+bool Replica::queued_conflict(const TxnRecord& t, std::uint64_t pos) const {
   if (!cl_.spec().commute_footprint_local)
-    return queued_conflict_pairwise(t, preceding_only);
+    return queued_conflict_pairwise(t, /*preceding_only=*/false);
   const auto test = [&](const ConflictIndex::Candidate& c) {
     if (c.pos == pos) return false;  // self
-    if (preceding_only && c.pos > pos) return false;
     const auto it = term_.find(c.txn.id);
-    if (it == term_.end()) return false;
-    if (!preceding_only && it->second.decided) return false;
+    if (it == term_.end() || it->second.decided) return false;
     return !cl_.spec().commute(t, c.txn);
   };
   const int shards = cl_.shards_per_site();
@@ -369,14 +401,13 @@ bool Replica::queued_conflict(const TxnRecord& t, std::uint64_t pos,
     });
   }
   if (verify_cert_enabled()) {
-    const bool pairwise = queued_conflict_pairwise(t, preceding_only);
+    const bool pairwise = queued_conflict_pairwise(t, /*preceding_only=*/false);
     if (pairwise != conflict) {
       std::fprintf(stderr,
-                   "GDUR_VERIFY_CERT: site %d txn %d.%llu %s scan mismatch "
-                   "(indexed=%d pairwise=%d, |Q|=%zu)\n",
+                   "GDUR_VERIFY_CERT: site %d txn %d.%llu preemptive scan "
+                   "mismatch (indexed=%d pairwise=%d, |Q|=%zu)\n",
                    static_cast<int>(id_), static_cast<int>(t.id.coord),
                    static_cast<unsigned long long>(t.id.seq),
-                   preceding_only ? "convoy" : "preemptive",
                    static_cast<int>(conflict), static_cast<int>(pairwise),
                    q_.size());
       std::abort();
@@ -389,13 +420,51 @@ void Replica::gc_try_votes() {
   if (cl_.spec().ac != AcKind::kGroupComm) return;
   // Algorithm 3 lines 1-3: T may be certified once it commutes with every
   // transaction preceding it in Q.
-  for (const TxnId& id : q_) {
+  if (!incremental_convoy()) {
+    for (const TxnId& id : q_) {
+      const auto it = term_.find(id);
+      if (it == term_.end()) continue;
+      TermState& st = it->second;
+      if (st.voted) continue;
+      if (!queued_conflict_pairwise(*st.txn, /*preceding_only=*/true))
+        cast_vote(st.txn, false);
+    }
+    return;
+  }
+  // ready_ holds every unvoted queued entry with no blocker left; voting it
+  // in ascending position is the walk above minus the entries that fail.
+  // (cast_vote only schedules the certification, so Q cannot change here.)
+  const bool verify = verify_cert_enabled();
+  if (verify) verify_convoy_counters(/*drained=*/false);
+  while (!ready_.empty()) {
+    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+    const TxnId id = ready_.back().second;
+    ready_.pop_back();
     const auto it = term_.find(id);
     if (it == term_.end()) continue;
     TermState& st = it->second;
-    if (st.voted) continue;
-    if (!queued_conflict(*st.txn, st.q_pos, /*preceding_only=*/true))
-      cast_vote(st.txn, false);
+    if (!st.in_q || st.voted) continue;  // left Q or voted since it was ready
+    cast_vote(st.txn, false);
+  }
+  if (verify) verify_convoy_counters(/*drained=*/true);
+}
+
+void Replica::verify_convoy_counters(bool drained) const {
+  for (const TxnId& id : q_) {
+    const auto it = term_.find(id);
+    if (it == term_.end() || it->second.voted) continue;
+    const TermState& st = it->second;
+    const bool pairwise =
+        queued_conflict_pairwise(*st.txn, /*preceding_only=*/true);
+    if (pairwise == (st.blockers == 0) || (drained && st.blockers == 0)) {
+      std::fprintf(stderr,
+                   "GDUR_VERIFY_CERT: site %d txn %d.%llu convoy counter "
+                   "mismatch (blockers=%u pairwise=%d, |Q|=%zu)\n",
+                   static_cast<int>(id_), static_cast<int>(id.coord),
+                   static_cast<unsigned long long>(id.seq), st.blockers,
+                   static_cast<int>(pairwise), q_.size());
+      std::abort();
+    }
   }
 }
 
@@ -959,6 +1028,7 @@ void Replica::process_queue_head() {
     q_.pop_front();
     obs_q_pops_.fetch_add(1, std::memory_order_relaxed);
     cidx_.remove(t->id);
+    unblock_successors(*t, st.q_pos);
     if (st.committed) apply_commit(t);
   }
   gc_try_votes();
@@ -970,7 +1040,10 @@ void Replica::remove_from_q(const TxnId& id) {
     q_.erase(it);
     obs_q_pops_.fetch_add(1, std::memory_order_relaxed);
     cidx_.remove(id);
-    if (auto ts = term_.find(id); ts != term_.end()) ts->second.in_q = false;
+    if (auto ts = term_.find(id); ts != term_.end()) {
+      ts->second.in_q = false;
+      unblock_successors(*ts->second.txn, ts->second.q_pos);
+    }
     gc_try_votes();
     if (cl_.spec().ac == AcKind::kGroupComm && cl_.spec().wait_head_of_queue)
       process_queue_head();
@@ -1142,6 +1215,7 @@ void Replica::on_crash() {
   obs_q_pops_.store(obs_q_pushes_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
   cidx_.clear();  // mirrors q_ exactly, always
+  ready_.clear();
   term_.clear();
   commit_cbs_.clear();
   paxos_acc_.clear();
@@ -1223,12 +1297,8 @@ void Replica::on_recover() {
       case store::WalRecord::Kind::kDeliver: {
         if (known_outcome(r.txn) != nullptr) break;
         auto& st = state_of(t);
-        if (!st.in_q && !st.decided) {
-          st.in_q = true;
-          q_.push_back(r.txn);
-          obs_q_pushes_.fetch_add(1, std::memory_order_relaxed);
-          st.q_pos = cidx_.add(t);  // re-indexed in replay (= delivery) order
-        }
+        // Re-indexed (and blockers recounted) in replay = delivery order.
+        if (!st.in_q && !st.decided) enqueue(st, t);
         break;
       }
       case store::WalRecord::Kind::kVote: {
@@ -1314,8 +1384,7 @@ void Replica::on_recover() {
       if (it == term_.end()) continue;
       TermState& st = it->second;
       if (st.voted || st.decided) continue;
-      cast_vote(st.txn,
-                queued_conflict(*st.txn, st.q_pos, /*preceding_only=*/false));
+      cast_vote(st.txn, queued_conflict(*st.txn, st.q_pos));
     }
   } else {
     gc_try_votes();

@@ -238,6 +238,11 @@ class Replica {
   struct TermState {
     TxnPtr txn;
     std::uint64_t q_pos = 0;  // enqueue position (= ConflictIndex position)
+    // Incremental convoy test (group communication, footprint-local
+    // commute): how many transactions still in Q were delivered before this
+    // one and do not commute with it, decided ones included. Counted at
+    // enqueue, decremented as each of them leaves Q; 0 = may be certified.
+    std::uint32_t blockers = 0;
     bool in_q = false;
     bool voted = false;     // cast_vote ran (value may still be computing)
     bool announced = false; // my_vote is final: announced or WAL-replayed
@@ -265,19 +270,32 @@ class Replica {
 
   // --- termination helpers ---
   TermState& state_of(const TxnPtr& t);
-  /// The one commute scan behind all three certification sites (preemptive
-  /// 2PC/Paxos vote, gc_try_votes, recovery re-vote): does `t` conflict
-  /// (fail to commute) with another queued transaction? `pos` is t's
-  /// enqueue position; `preceding_only` restricts the scan to transactions
-  /// delivered before t (Algorithm 3's convoy test, which considers decided
-  /// but still-queued predecessors too), otherwise decided transactions are
-  /// skipped (Algorithm 4's preemptive-abort test). Answered from the
-  /// ConflictIndex when the spec's commute() is footprint-local; with
-  /// GDUR_VERIFY_CERT on, every indexed answer is cross-checked against the
-  /// pairwise queue scan.
-  [[nodiscard]] bool queued_conflict(const TxnRecord& t, std::uint64_t pos,
-                                     bool preceding_only) const;
-  /// The original O(|Q|) pairwise scan — fallback and verification oracle.
+  /// Appends `t` to Q (delivery and WAL kDeliver replay): indexes it and,
+  /// under the incremental convoy test, counts its blockers.
+  void enqueue(TermState& st, const TxnPtr& t);
+  /// Does the group-communication convoy test run on TermState::blockers?
+  /// (Otherwise gc_try_votes walks Q pairwise.)
+  [[nodiscard]] bool incremental_convoy() const;
+  /// `x` (enqueue position `pos`) left Q: every later queued transaction
+  /// that does not commute with it loses one blocker; those reaching 0
+  /// join ready_.
+  void unblock_successors(const TxnRecord& x, std::uint64_t pos);
+  /// GDUR_VERIFY_CERT oracle for the convoy counters: every unvoted queued
+  /// entry has blockers == 0 iff the pairwise preceding-only scan finds no
+  /// conflict, and once the convoy pass has `drained` ready_ no such entry
+  /// is left unvoted. Aborts the process on a mismatch.
+  void verify_convoy_counters(bool drained) const;
+  /// Algorithm 4's preemptive-abort test (2PC/Paxos vote on delivery and
+  /// recovery re-vote): does `t` (enqueue position `pos`) fail to commute
+  /// with an undecided queued transaction? Answered from the ConflictIndex
+  /// when the spec's commute() is footprint-local; with GDUR_VERIFY_CERT on,
+  /// every indexed answer is cross-checked against the pairwise queue scan.
+  [[nodiscard]] bool queued_conflict(const TxnRecord& t,
+                                     std::uint64_t pos) const;
+  /// The O(|Q|) pairwise scan — fallback and verification oracle.
+  /// `preceding_only` restricts it to transactions delivered before t
+  /// (Algorithm 3's convoy test, which counts decided but still-queued
+  /// predecessors too); otherwise decided transactions are skipped.
   [[nodiscard]] bool queued_conflict_pairwise(const TxnRecord& t,
                                               bool preceding_only) const;
   void gc_try_votes();
@@ -394,6 +412,10 @@ class Replica {
   // indexed by footprint object, mirroring q_ exactly; plus the bounded
   // recently-committed window and S-DUR's per-object committed readers.
   ConflictIndex cidx_;
+  // Queued transactions whose blockers reached 0 and that may still need a
+  // vote: a min-heap on enqueue position, so gc_try_votes votes them in Q
+  // order. Entries that left Q or were voted meanwhile are skipped there.
+  std::vector<std::pair<std::uint64_t, TxnId>> ready_;
   RecencyIndex recency_{kRecentWindow, kMaxTrackedReaders};
   // Decided-transaction outcomes, retained (bounded FIFO) past the term-state
   // GC so that retried votes and replayed log records are answered with the

@@ -21,7 +21,9 @@ namespace {
 bool write_all(int fd, const void* data, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
+    // MSG_NOSIGNAL: a closed peer yields EPIPE (a lost connection), not a
+    // SIGPIPE that would kill the client process.
+    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;

@@ -166,7 +166,7 @@ void Reactor::send_frame(int conn_id, std::vector<std::uint8_t> body) {
     m.hdr[1] = static_cast<std::uint8_t>((len >> 8) & 0xff);
     m.hdr[2] = static_cast<std::uint8_t>((len >> 16) & 0xff);
     m.hdr[3] = static_cast<std::uint8_t>((len >> 24) & 0xff);
-    m.body = std::move(body);  // zero-copy: gathered into writev later
+    m.body = std::move(body);  // zero-copy: gathered into sendmsg later
     c->out.push_back(std::move(m));
   }
   c->out_bytes.fetch_add(total, std::memory_order_relaxed);
@@ -535,7 +535,7 @@ bool Reactor::flush_writable(Conn& c) {
   MutexLock lock(&c.out_mu);
   while (!c.out.empty()) {
     // Gather up to kMaxIov segments (header + body interleaved) into one
-    // writev: bodies are the senders' buffers, never re-copied.
+    // sendmsg: bodies are the senders' buffers, never re-copied.
     iovec iov[kMaxIov];
     int niov = 0;
     for (auto& m : c.out) {
@@ -556,12 +556,18 @@ bool Reactor::flush_writable(Conn& c) {
       c.out.pop_front();
       continue;
     }
-    const ssize_t n = ::writev(c.fd, iov, niov);
+    // sendmsg rather than writev: MSG_NOSIGNAL turns a write to a peer
+    // that already closed into EPIPE instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(niov);
+    const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;
-      // EPIPE etc.: peer gone. Abandoned bytes count as flushed so the
-      // watchdog's pending-output gauge returns to zero.
+      // EPIPE, ECONNRESET etc.: peer gone, the connection is lost.
+      // Abandoned bytes count as flushed so the watchdog's pending-output
+      // gauge returns to zero.
       std::uint64_t abandoned = 0;
       for (const auto& m : c.out) abandoned += 4 + m.body.size() - m.off;
       flushed_bytes_.fetch_add(abandoned, std::memory_order_relaxed);

@@ -13,7 +13,7 @@
 //     accept handler runs on the reactor thread.
 //   * Zero-copy framing: send_frame takes the body by value (move it in);
 //     the 4-byte header lives in the queue node and the body is never
-//     re-copied — flushes gather header + body iovecs into one writev().
+//     re-copied — flushes gather header + body iovecs into one sendmsg().
 //   * Read-side backpressure: pause_read() parks a connection's read
 //     interest (session windows), and a per-connection pending-output
 //     watermark auto-pauses reads from peers that do not drain their
@@ -113,7 +113,7 @@ class Reactor {
 
   /// Queues one frame (length prefix added here) for `conn_id`, taking the
   /// body by value — move it in and it is never copied again; the flush
-  /// path gathers header + body with writev. Thread-safe; never blocks on
+  /// path gathers header + body with sendmsg. Thread-safe; never blocks on
   /// the socket. Frames to dead/unknown connections are dropped.
   void send_frame(int conn_id, std::vector<std::uint8_t> body);
 
@@ -164,7 +164,7 @@ class Reactor {
  private:
   /// One queued outbound frame: the 4-byte length prefix lives here, the
   /// body is the caller's buffer moved in — never re-copied, only gathered
-  /// into writev iovecs.
+  /// into sendmsg iovecs.
   struct OutMsg {
     std::uint8_t hdr[4];
     std::vector<std::uint8_t> body;

@@ -108,6 +108,15 @@ void FrontServer::on_close(int conn) {
   sessions_live_.fetch_sub(1, std::memory_order_relaxed);
 }
 
+void FrontServer::drop_open(int conn, std::uint64_t txn) {
+  // A failed read dooms the transaction: drop the handle as a presumed
+  // abort (it was never submitted, exactly as on a disconnect), so a later
+  // commit on it answers ok=false instead of committing.
+  Session* s = session_of(conn);
+  if (s == nullptr || s->open.erase(txn) == 0) return;
+  open_txns_.fetch_sub(1, std::memory_order_relaxed);
+}
+
 void FrontServer::on_frame(int conn, std::vector<std::uint8_t> frame) {
   Session* s = session_of(conn);
   if (s == nullptr || s->closing) return;
@@ -198,6 +207,7 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
       }
       cl_.read(cfg_.site, it->second, m.obj,
                [this, ctx, txn = m.txn](bool ok) {
+                 if (!ok) drop_open(ctx->conn, txn);
                  respond(ctx, ok, txn, net::wire::kPayload);
                });
       return;
@@ -309,7 +319,7 @@ void FrontServer::respond(RequestCtx* ctx, bool ok, std::uint64_t txn,
 
 void FrontServer::send_to(int conn, codec::Writer& w) {
   // The writer's buffer moves straight into the reactor's outbound queue;
-  // the flush path gathers it into writev without another copy.
+  // the flush path gathers it into sendmsg without another copy.
   reactor_.send_frame(conn, w.take());
 }
 

@@ -140,6 +140,8 @@ class FrontServer {
   // below happens inside one of these (or a function they dominate).
   GDUR_CONFINED("site-thread") void on_accept(int conn);
   GDUR_CONFINED("site-thread") void on_close(int conn);
+  /// Removes `txn` from the session's open table (presumed abort).
+  GDUR_CONFINED("site-thread") void drop_open(int conn, std::uint64_t txn);
   GDUR_CONFINED("site-thread")
   void on_frame(int conn, std::vector<std::uint8_t> frame);
   GDUR_CONFINED("site-thread")

@@ -226,8 +226,9 @@ struct ClientReqMsg {
 };
 
 /// Response to one request, correlated by cookie. `ok` is the operation
-/// verdict (for kCommit/kStored: committed). `txn` echoes the handle
-/// (kBegin: the newly issued one). `payload_bytes` sizes the after-value a
+/// verdict (for kCommit/kStored: committed; a kRead with ok=false aborts
+/// the transaction, so a later kCommit on its handle answers ok=false).
+/// `txn` echoes the handle (kBegin: the newly issued one). `payload_bytes` sizes the after-value a
 /// kRead returns, same length-marker convention as read replies.
 struct ClientRespMsg {
   std::uint64_t cookie = 0;

@@ -53,17 +53,24 @@ class Partitioner {
     return sites_of(partition_of(o));
   }
 
+  /// Does site `s` replicate `o`? s holds o iff it lies within rf-1 sites
+  /// after o's primary, modulo the ring (allocation-free sites_of test).
   [[nodiscard]] bool is_local(SiteId s, ObjectId o) const {
-    for (SiteId r : replicas_of_object(o))
-      if (r == s) return true;
-    return false;
+    if (s >= static_cast<SiteId>(sites_)) return false;  // not in the ring
+    const int d = (static_cast<int>(s) -
+                   static_cast<int>(primary_of(partition_of(o))) + sites_) %
+                  sites_;
+    return d < rf_;
   }
 
   /// Union of replicas over a whole object set (the paper's replicas(obj)).
   [[nodiscard]] std::vector<SiteId> replicas_of(const ObjSet& objs) const {
     std::vector<bool> in(static_cast<std::size_t>(sites_), false);
-    for (ObjectId o : objs)
-      for (SiteId r : replicas_of_object(o)) in[r] = true;
+    for (ObjectId o : objs) {
+      const int p = static_cast<int>(primary_of(partition_of(o)));
+      for (int k = 0; k < rf_; ++k)
+        in[static_cast<std::size_t>((p + k) % sites_)] = true;
+    }
     std::vector<SiteId> out;
     for (SiteId s = 0; s < static_cast<SiteId>(sites_); ++s)
       if (in[s]) out.push_back(s);

@@ -5,10 +5,12 @@
 //     commit when ObjectChain GC prunes a snapshot-invisible version;
 //   * the GDUR_VERIFY_CERT equivalence stress — thousands of transactions
 //     across every registered protocol, deep queues under chaos faults,
-//     with every indexed commute answer cross-checked against the pairwise
-//     queue scan (a mismatch aborts the process).
+//     with every indexed commute answer and every convoy blocker counter
+//     cross-checked against the pairwise queue scan (a mismatch aborts the
+//     process).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -268,6 +270,51 @@ TEST(VerifyCertStress, IndexedVotesMatchPairwiseOnAllProtocolsUnderChaos) {
   }
   EXPECT_GE(total_txns, 5'000u)
       << "the stress must exercise at least 5k transactions";
+}
+
+// The group-communication convoy test runs on per-entry blocker counters
+// (Replica::gc_try_votes). In cross-check mode every gc_try_votes recomputes
+// the pairwise preceding-only scan for each unvoted queued entry and aborts
+// unless it agrees with blockers == 0. Here the queues run deep (hundreds of
+// entries) while chaos faults crash sites, so counters are rebuilt by WAL
+// kDeliver replay and decremented by both dequeue paths.
+TEST(VerifyCertStress, ConvoyCountersMatchPairwiseAtDeepQueuesUnderChaos) {
+  VerifyCertGuard verify;
+  std::uint64_t chaos_seed = 900;
+  for (const char* name : {"P-Store", "Serrano", "S-DUR"}) {
+    ++chaos_seed;
+    core::ClusterConfig cfg;
+    cfg.sites = 4;
+    cfg.replication = 2;
+    cfg.objects_per_site = 128;
+    cfg.durable = true;
+    cfg.term_timeout = milliseconds(500);
+    cfg.client_timeout = seconds(2);
+    cfg.faults = sim::FaultPlan::chaos(cfg.sites, seconds(2), chaos_seed);
+    core::Cluster cluster(cfg, protocols::by_name(name));
+    harness::Metrics metrics;
+    std::vector<std::unique_ptr<workload::ClientActor>> actors;
+    for (int i = 0; i < 256; ++i) {
+      actors.push_back(std::make_unique<workload::ClientActor>(
+          cluster, static_cast<SiteId>(i % cfg.sites),
+          workload::WorkloadSpec::B(0.1), metrics,
+          mix64(53'000 + static_cast<std::uint64_t>(i))));
+      actors.back()->start(i * microseconds(97));
+    }
+    std::size_t deepest = 0;
+    for (SimTime t = milliseconds(10); t <= seconds(3); t += milliseconds(10)) {
+      cluster.simulator().run_until(t);
+      for (int s = 0; s < cfg.sites; ++s)
+        deepest = std::max(
+            deepest, cluster.replica(static_cast<SiteId>(s)).queue_length());
+    }
+    EXPECT_GT(metrics.committed(), 0u) << name;
+    EXPECT_GE(deepest, 100u) << name << ": the queue never ran deep";
+    std::uint64_t recoveries = 0;
+    for (int s = 0; s < cfg.sites; ++s)
+      recoveries += cluster.replica(static_cast<SiteId>(s)).recoveries();
+    EXPECT_GT(recoveries, 0u) << name << ": no crash was replayed";
+  }
 }
 
 }  // namespace

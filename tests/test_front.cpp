@@ -1,7 +1,8 @@
 // Tests for the production front door (src/front/): reactor framing over
 // both backends, arena/pool recycling, shutdown signal plumbing, client
 // sessions end to end against live clusters, presumed abort + session GC on
-// disconnect, and both backpressure layers — admission pushback and the
+// disconnect and on a failed read, a peer that closes with a response
+// queued (EPIPE, not SIGPIPE), and both backpressure layers — admission pushback and the
 // never-reading-client memory bound.
 #include <gtest/gtest.h>
 
@@ -190,6 +191,34 @@ TEST(Reactor, OversizedFrameDropsConnection) {
   r.stop();
 }
 
+TEST(Reactor, PeerCloseWithQueuedResponseIsALostConnectionNotSigpipe) {
+  ReactorConfig rc;
+  rc.sndbuf = 4096;  // the queued response cannot leave in one send
+  Reactor r(rc);
+  std::uint16_t port = 0;
+  r.add_listener(make_listener(&port));
+  std::atomic<int> conn{-1};
+  std::atomic<int> closes{0};
+  r.set_accept_handler([&conn](int id) { conn.store(id); });
+  r.set_close_handler([&closes](int) { closes.fetch_add(1); });
+  r.start();
+  const int fd = dial(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&conn] { return conn.load() >= 0; }));
+  // Park reads so the reactor does not see the peer's FIN by itself.
+  r.pause_read(conn.load(), true);
+  std::this_thread::sleep_for(50ms);
+  ::close(fd);  // FIN: the server side of the connection is in CLOSE_WAIT
+  std::this_thread::sleep_for(50ms);
+  // The first send of this response reaches the closed peer, which answers
+  // with a reset; the next send on the socket fails with EPIPE. Without
+  // MSG_NOSIGNAL that EPIPE raises SIGPIPE and kills this process.
+  r.send_frame(conn.load(), std::vector<std::uint8_t>(1u << 20, 7));
+  EXPECT_TRUE(wait_until([&closes] { return closes.load() == 1; }));
+  EXPECT_EQ(r.pending_out_bytes(), 0u);
+  r.stop();
+}
+
 // --- arena / pool ----------------------------------------------------------
 
 TEST(Arena, BlocksChainWithoutOverwriting) {
@@ -327,6 +356,32 @@ TEST(FrontEndToEnd, CommitOfUnknownHandleFailsCleanly) {
   // The session survives bogus handles (they are client errors, not
   // protocol violations).
   EXPECT_TRUE(c.stored_sync({1}, {2}));
+}
+
+TEST(FrontEndToEnd, FailedReadDoomsTheTransaction) {
+  // Jessy2pc's partitioned dependence vectors (two sites, one partition
+  // each: even objects on P, odd on Q) make a read fail deterministically.
+  LiveFront lf("Jessy2pc");
+  ClientConfig cc;
+  cc.port = lf.server->port();
+  GdurClient c(cc);
+  ASSERT_TRUE(c.connect());
+  const auto h = c.begin_sync();
+  ASSERT_TRUE(h.has_value());
+  ASSERT_TRUE(c.read_sync(*h, 1));         // Q at its initial state
+  ASSERT_TRUE(c.stored_sync({}, {0, 3}));  // x=0 now depends on Q's 1st write
+  ASSERT_TRUE(c.stored_sync({}, {2}));     // P's 2nd write
+  std::this_thread::sleep_for(50ms);       // let both applies land
+  ASSERT_TRUE(c.read_sync(*h, 2));         // the snapshot now covers P to 2
+  // x's only version lies inside the snapshot's P floor but depends on a
+  // Q write past its Q ceiling: no consistent version exists.
+  EXPECT_FALSE(c.read_sync(*h, 0));
+  // The failed read aborted the transaction: its handle is gone, so it can
+  // neither be written nor committed.
+  EXPECT_EQ(lf.server->open_txns(), 0u);
+  EXPECT_FALSE(c.write_sync(*h, 4));
+  EXPECT_FALSE(c.commit_sync(*h));
+  EXPECT_TRUE(c.stored_sync({6}, {8}));  // the session itself is fine
 }
 
 TEST(FrontEndToEnd, DisconnectMidTxnPresumedAbortAndSessionGc) {

@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event simulator and the CPU model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/cpu.h"
 #include "sim/simulator.h"
 
@@ -81,6 +84,108 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 5; ++i) sim.at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// A seeded event storm mixing the schedules the two event lanes see: long
+// fixed delays (the 5 s term-state GC timers, which go to the tail lane),
+// short random delays and zero delays (equal timestamps, the heap). The pop
+// order must be the single-queue order: a stable sort of the schedule by
+// time, ties in scheduling order.
+struct EventStorm {
+  static constexpr std::size_t kMaxEvents = 20'000;
+  Simulator sim;
+  Rng rng;
+  std::vector<SimTime> when;     // scheduled time, by scheduling order
+  std::vector<std::size_t> ran;  // scheduling indices, in pop order
+  std::size_t stop_at = SIZE_MAX;  // scheduling index that calls stop()
+
+  explicit EventStorm(std::uint64_t seed) : rng(seed) {
+    for (int i = 0; i < 50; ++i)
+      schedule(static_cast<SimTime>(rng.next_below(1000)));
+  }
+
+  void schedule(SimTime t) {
+    const std::size_t id = when.size();
+    when.push_back(t);
+    sim.at(t, [this, id] {
+      ran.push_back(id);
+      if (id == stop_at) sim.stop();
+      fan_out();
+    });
+  }
+
+  void fan_out() {
+    const auto children = rng.next_below(4);  // mean 1.5: the storm grows
+    for (std::uint64_t k = 0; k < children && when.size() < kMaxEvents; ++k) {
+      switch (rng.next_below(4)) {
+        case 0:
+          schedule(sim.now() + seconds(5));
+          break;
+        case 1:
+          schedule(sim.now() +
+                   static_cast<SimDuration>(rng.next_below(1'000'000)));
+          break;
+        case 2:
+          schedule(sim.now());
+          break;
+        default:
+          schedule(sim.now() + milliseconds(1));
+          break;
+      }
+    }
+  }
+
+  /// The reference order: scheduling indices stably sorted by time.
+  [[nodiscard]] std::vector<std::size_t> reference() const {
+    std::vector<std::size_t> order(when.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return when[a] < when[b];
+                     });
+    return order;
+  }
+};
+
+TEST(Simulator, PopOrderIsAStableSortByTimeAcrossBothLanes) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EventStorm storm(seed);
+    storm.sim.run();
+    EXPECT_TRUE(storm.sim.empty());
+    ASSERT_EQ(storm.ran.size(), storm.when.size()) << "seed " << seed;
+    EXPECT_EQ(storm.ran, storm.reference()) << "seed " << seed;
+  }
+}
+
+TEST(Simulator, RunUntilAndStopKeepTheTwoLaneOrder) {
+  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
+    EventStorm storm(seed);
+    storm.stop_at = 7'000;
+    int stops = 0;
+    while (!storm.sim.empty()) {
+      // Cut exactly at a pending event's time now and then, so the
+      // inclusive boundary is exercised, else at an arbitrary time.
+      const SimTime cut =
+          storm.rng.next_bool(0.5)
+              ? std::max(storm.sim.now(), storm.when.back())
+              : storm.sim.now() +
+                    static_cast<SimDuration>(storm.rng.next_below(2'000'000));
+      if (!storm.sim.run_until(cut)) {
+        ++stops;
+        ASSERT_FALSE(storm.ran.empty());
+        EXPECT_EQ(storm.ran.back(), storm.stop_at);
+        EXPECT_EQ(storm.sim.now(), storm.when[storm.stop_at]);
+        continue;
+      }
+      ASSERT_EQ(storm.sim.now(), cut);
+      // Everything due by the cut ran; nothing later did.
+      std::size_t due = 0;
+      for (SimTime t : storm.when) due += t <= cut ? 1 : 0;
+      ASSERT_EQ(storm.ran.size(), due) << "seed " << seed << " cut " << cut;
+    }
+    EXPECT_EQ(stops, 1) << "seed " << seed;
+    EXPECT_EQ(storm.ran, storm.reference()) << "seed " << seed;
+  }
 }
 
 TEST(Cpu, SingleCoreSerializesJobs) {

@@ -1,6 +1,9 @@
 // Unit tests for the multi-version store and the partitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/obj_set.h"
 #include "store/mv_store.h"
 #include "store/partitioner.h"
@@ -124,6 +127,41 @@ TEST(Partitioner, SingleSiteWithReplicationOverlap) {
   EXPECT_TRUE(p.single_site(ObjSet{0, 1}));
   // Partitions 0 and 2 share no site.
   EXPECT_FALSE(p.single_site(ObjSet{0, 2}));
+}
+
+TEST(Partitioner, IsLocalAndReplicasOfAgreeWithSitesOf) {
+  for (int sites = 1; sites <= 6; ++sites)
+    for (int rf = 1; rf <= sites; ++rf)
+      for (int pps = 1; pps <= 3; ++pps) {
+        Partitioner p(sites, rf, 1000, pps);
+        const auto n = static_cast<ObjectId>(p.partitions()) * 2;
+        std::vector<bool> in_union(static_cast<std::size_t>(sites), false);
+        ObjSet objs;
+        for (ObjectId o = 0; o < n; ++o) {
+          const auto holders = p.sites_of(p.partition_of(o));
+          // One site past the ring: never local.
+          for (SiteId s = 0; s <= static_cast<SiteId>(sites); ++s) {
+            const bool expect =
+                std::find(holders.begin(), holders.end(), s) != holders.end();
+            ASSERT_EQ(p.is_local(s, o), expect)
+                << "sites=" << sites << " rf=" << rf << " pps=" << pps
+                << " site=" << s << " obj=" << o;
+          }
+          auto sorted = holders;
+          std::sort(sorted.begin(), sorted.end());
+          ASSERT_EQ(p.replicas_of(ObjSet{o}), sorted);
+          // Every third object joins a multi-object set.
+          if (o % 3 == 0) {
+            objs.insert(o);
+            for (SiteId s : holders) in_union[s] = true;
+          }
+        }
+        std::vector<SiteId> expect_union;
+        for (SiteId s = 0; s < static_cast<SiteId>(sites); ++s)
+          if (in_union[s]) expect_union.push_back(s);
+        ASSERT_EQ(p.replicas_of(objs), expect_union)
+            << "sites=" << sites << " rf=" << rf << " pps=" << pps;
+      }
 }
 
 TEST(Partitioner, ObjectInPartitionRoundTrips) {
